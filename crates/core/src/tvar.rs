@@ -72,6 +72,33 @@ impl<T: TxValue> TVar<T> {
         tx.read_var(&self.core)
     }
 
+    /// Transactional read that borrows instead of cloning: applies `f` in
+    /// place to the value [`TVar::read`] would return and yields its
+    /// result. The read is the same in every other respect — same waits,
+    /// conflict arbitration, read-set entry, elastic cuts and
+    /// read-version extensions (`read` is the `T::clone` case of this
+    /// method). `f` may be called more than once when an optimistic read
+    /// has to extend its read version and re-read; only the last result
+    /// is returned.
+    ///
+    /// Use it to look at a large or reference-counted value without the
+    /// clone, e.g. to filter by a key before deciding to clone a handle.
+    ///
+    /// ```
+    /// use polytm::{Semantics, Stm, TxParams};
+    ///
+    /// let stm = Stm::new();
+    /// let names = stm.new_tvar(vec![String::from("ada"), String::from("grace")]);
+    /// let n = stm.run(TxParams::new(Semantics::Snapshot), |tx| {
+    ///     names.read_with(tx, |v| v.iter().filter(|s| s.starts_with('g')).count())
+    /// });
+    /// assert_eq!(n, 1);
+    /// ```
+    #[inline]
+    pub fn read_with<R>(&self, tx: &mut Transaction<'_>, f: impl Fn(&T) -> R) -> TxResult<R> {
+        tx.read_var_with(&self.core, f)
+    }
+
     /// Transactional write — the paper's `w(x, v)`. Buffered until commit
     /// (published eagerly under irrevocable semantics).
     #[inline]

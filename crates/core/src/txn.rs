@@ -41,7 +41,9 @@ use crate::txdesc::{
 use crate::varcore::{CommittedRead, TxSlot, VarCore};
 
 /// How many reads between refreshes of the cached epoch pin (see
-/// [`Transaction::pin`]).
+/// [`Transaction::pin`]): each refresh re-announces the current global
+/// epoch, so a long scan never holds the epoch back for more than this
+/// many reads.
 const PIN_REFRESH_INTERVAL: u32 = 64;
 
 /// An in-flight transaction attempt. See the module docs.
@@ -225,16 +227,17 @@ impl<'s> Transaction<'s> {
 
     /// The cached epoch pin, taken lazily.
     ///
-    /// The vendored epoch frees deferred garbage only when the global
-    /// pin count is *observed at zero*, so a pin held for a whole long
-    /// transaction (with other transactions overlapping it) could
-    /// starve reclamation indefinitely. Long transactions therefore
-    /// refresh the pin periodically — every [`PIN_REFRESH_INTERVAL`]th
-    /// read-set entry (`push_read`) or snapshot read (`read_var`) —
-    /// keeping ~1/64 of the seed's per-read pin cost while guaranteeing
-    /// zero-pin windows keep opening for the collector. The refresh
-    /// check lives on those already-slow paths so this accessor stays
-    /// two instructions.
+    /// A pinned participant holds the global epoch within one step of
+    /// the epoch it announced, so a pin held for a whole long
+    /// transaction would stop every thread's garbage from being freed
+    /// until the transaction ends. Long transactions therefore refresh
+    /// the pin every [`PIN_REFRESH_INTERVAL`]th read-set entry
+    /// (`push_read`) or snapshot read (`read_var_with`): the re-pin
+    /// announces the current epoch and lets the global epoch advance
+    /// under a scan that is still running. A pin is one store to the
+    /// thread's own epoch word plus a fence, so the refresh costs ~1/64
+    /// of a pin per read. The refresh check lives on those already-slow
+    /// paths so this accessor stays two instructions.
     #[inline]
     fn pin(&mut self) -> &epoch::Guard {
         if self.guard.is_none() {
@@ -255,6 +258,19 @@ impl<'s> Transaction<'s> {
     // ------------------------------------------------------------------
 
     pub(crate) fn read_var<T: TxValue>(&mut self, core: &Arc<VarCore<T>>) -> TxResult<T> {
+        self.read_var_with(core, T::clone)
+    }
+
+    /// The one transactional read path: applies `f` in place to the
+    /// value this read returns under the transaction's semantics — the
+    /// buffered write, the snapshot chain node or the validated
+    /// committed head. `f` may run more than once (an optimistic read
+    /// that extends re-reads); only the last result is returned.
+    pub(crate) fn read_var_with<T: TxValue, R>(
+        &mut self,
+        core: &Arc<VarCore<T>>,
+        f: impl Fn(&T) -> R,
+    ) -> TxResult<R> {
         debug_assert!(
             core.stm_id == 0 || core.stm_id == self.stm.id(),
             "TVar used with an Stm instance other than the one that created it"
@@ -266,7 +282,7 @@ impl<'s> Transaction<'s> {
                 .payload
                 .get_ref::<T>()
                 .expect("write-set value present outside commit");
-            return Ok(value.clone());
+            return Ok(f(value));
         }
         match self.semantics {
             Semantics::Snapshot => {
@@ -308,7 +324,7 @@ impl<'s> Transaction<'s> {
                     self.arbitrate_lock(addr, p.owner, &mut spins)?;
                 }
                 self.direct_reads += 1;
-                match core.read_snapshot(rv, self.pin()) {
+                match core.read_snapshot_with(rv, self.pin(), f) {
                     Some((v, _)) => Ok(v),
                     None => Err(self.snapshot_miss(addr)),
                 }
@@ -331,7 +347,7 @@ impl<'s> Transaction<'s> {
                 self.direct_reads += 1;
                 let mut spins = 0u32;
                 loop {
-                    match core.read_committed(self.pin()) {
+                    match core.read_committed_with(self.pin(), &f) {
                         CommittedRead::Value(v, _) => return Ok(v),
                         CommittedRead::Locked(owner) => {
                             debug_assert!(
@@ -344,17 +360,22 @@ impl<'s> Transaction<'s> {
                     }
                 }
             }
-            Semantics::Opaque | Semantics::Elastic { .. } => self.read_optimistic(core, addr),
+            Semantics::Opaque | Semantics::Elastic { .. } => self.read_optimistic(core, addr, &f),
         }
     }
 
-    fn read_optimistic<T: TxValue>(&mut self, core: &Arc<VarCore<T>>, addr: usize) -> TxResult<T> {
+    fn read_optimistic<T: TxValue, R>(
+        &mut self,
+        core: &Arc<VarCore<T>>,
+        addr: usize,
+        f: &impl Fn(&T) -> R,
+    ) -> TxResult<R> {
         if let Some(idx) = self.desc.read_index.get(addr) {
             // Re-read: the location must still carry the version we saw,
             // otherwise two reads of the same location would return
             // different values inside one transaction.
             let seen = self.desc.reads[idx as usize].seen;
-            let (value, ver) = self.wait_read_committed(core, addr)?;
+            let (value, ver) = self.wait_read_committed(core, addr, f)?;
             return if ver == seen { Ok(value) } else { Err(Abort::ReadConflict { addr }) };
         }
         // Elastic cut rule (ε-STM): the critical-step window *includes*
@@ -366,7 +387,7 @@ impl<'s> Transaction<'s> {
                 self.cut_to(window.max(1) - 1);
             }
         }
-        let (mut value, mut ver) = self.wait_read_committed(core, addr)?;
+        let (mut value, mut ver) = self.wait_read_committed(core, addr, f)?;
         while ver > self.rv {
             // The location changed after we started: try to slide our
             // serialization point forward. Live reads must all still be
@@ -378,7 +399,7 @@ impl<'s> Transaction<'s> {
             // buffered value would let a commit with `wv == rv + 1` skip
             // validation over a stale read (a lost update). Re-read and
             // re-check against the extended rv.
-            let (v, newer) = self.wait_read_committed(core, addr)?;
+            let (v, newer) = self.wait_read_committed(core, addr, f)?;
             value = v;
             ver = newer;
         }
@@ -388,14 +409,15 @@ impl<'s> Transaction<'s> {
 
     /// Optimistically read a committed value, arbitrating with the
     /// contention manager while the location is locked by a committer.
-    fn wait_read_committed<T: TxValue>(
+    fn wait_read_committed<T: TxValue, R>(
         &mut self,
         core: &Arc<VarCore<T>>,
         addr: usize,
-    ) -> TxResult<(T, u64)> {
+        f: &impl Fn(&T) -> R,
+    ) -> TxResult<(R, u64)> {
         let mut spins = 0u32;
         loop {
-            let owner = match core.read_committed(self.pin()) {
+            let owner = match core.read_committed_with(self.pin(), f) {
                 CommittedRead::Value(v, ver) => return Ok((v, ver)),
                 CommittedRead::Locked(owner) => owner,
             };
@@ -446,8 +468,8 @@ impl<'s> Transaction<'s> {
     fn push_read(&mut self, slot: Arc<dyn TxSlot>, addr: usize, seen: u64) {
         let idx = self.desc.reads.len() as u32;
         // Periodic pin refresh for long transactions (see `pin`): the
-        // value for this read is already cloned, so the guard can lapse
-        // here without extending any borrow.
+        // result of this read is already computed, so the guard can
+        // lapse here without extending any borrow.
         if (idx + 1).is_multiple_of(PIN_REFRESH_INTERVAL) {
             self.unpin();
         }

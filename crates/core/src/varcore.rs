@@ -116,10 +116,20 @@ impl<T: TxValue> VarCore<T> {
     }
 
     /// Optimistic read of the latest committed value: the TL2
-    /// `(lockword, value, lockword)` double-check. Returns the value and
-    /// the version it was committed at, or the owner of the lock if the
-    /// location is being committed to right now.
+    /// `(lockword, value, lockword)` double-check. Returns a clone of the
+    /// value and the version it was committed at, or the owner of the
+    /// lock if the location is being committed to right now.
     pub(crate) fn read_committed(&self, guard: &Guard) -> CommittedRead<T> {
+        self.read_committed_with(guard, T::clone)
+    }
+
+    /// [`VarCore::read_committed`] applying `f` to the committed value in
+    /// place instead of cloning it.
+    pub(crate) fn read_committed_with<R>(
+        &self,
+        guard: &Guard,
+        f: impl FnOnce(&T) -> R,
+    ) -> CommittedRead<R> {
         loop {
             let l1 = self.lockword.load(Ordering::Acquire);
             if l1 & LOCKED != 0 {
@@ -135,20 +145,32 @@ impl<T: TxValue> VarCore<T> {
             // reference is valid for the lifetime of the pin.
             let node = unsafe { head.deref() };
             debug_assert_eq!(node.version, l1 >> 1, "head version must match lock word");
-            return CommittedRead::Value(node.value.clone(), l1 >> 1);
+            return CommittedRead::Value(f(&node.value), l1 >> 1);
         }
     }
 
-    /// Multi-version read: newest committed version with
+    /// Multi-version read: a clone of the newest committed version with
     /// `version <= bound`, walking the history chain. Returns `None` when
     /// the history has been truncated past `bound`.
+    #[cfg(test)]
     pub(crate) fn read_snapshot(&self, bound: u64, guard: &Guard) -> Option<(T, u64)> {
+        self.read_snapshot_with(bound, guard, T::clone)
+    }
+
+    /// [`VarCore::read_snapshot`] applying `f` to the version in place
+    /// instead of cloning it.
+    pub(crate) fn read_snapshot_with<R>(
+        &self,
+        bound: u64,
+        guard: &Guard,
+        f: impl FnOnce(&T) -> R,
+    ) -> Option<(R, u64)> {
         let mut cur = self.head.load(Ordering::Acquire, guard);
         while !cur.is_null() {
             // SAFETY: chain nodes are epoch-protected (see above).
             let node = unsafe { cur.deref() };
             if node.version <= bound {
-                return Some((node.value.clone(), node.version));
+                return Some((f(&node.value), node.version));
             }
             cur = node.prev.load(Ordering::Acquire, guard);
         }

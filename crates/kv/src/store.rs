@@ -62,6 +62,28 @@ enum Slot {
     Full(u64, TVar<Value>),
 }
 
+/// What a probe for one key learned from one slot, read by borrowing
+/// the slot so only a matching record's handle is cloned.
+enum Probe {
+    Empty,
+    Tombstone,
+    /// The probed key's record.
+    Hit(TVar<Value>),
+    /// Another key's record.
+    Miss,
+}
+
+impl Probe {
+    fn of(slot: &Slot, key: u64) -> Self {
+        match slot {
+            Slot::Empty => Probe::Empty,
+            Slot::Tombstone => Probe::Tombstone,
+            Slot::Full(k, var) if *k == key => Probe::Hit(var.clone()),
+            Slot::Full(..) => Probe::Miss,
+        }
+    }
+}
+
 /// A shard's slot table. Cloning shares the slot array (two words), so
 /// the `TVar<Table>` register swap that grows a shard stays inside the
 /// STM's inline write-payload budget.
@@ -300,11 +322,10 @@ impl KvStore {
         let mask = table.slots.len() - 1;
         let mut i = Self::slot_start(key) & mask;
         for _ in 0..table.slots.len() {
-            match table.slots[i].read(tx)? {
-                Slot::Empty => return Ok(None),
-                Slot::Tombstone => {}
-                Slot::Full(k, var) if k == key => return Ok(Some(var.read(tx)?)),
-                Slot::Full(..) => {}
+            match table.slots[i].read_with(tx, |s| Probe::of(s, key))? {
+                Probe::Empty => return Ok(None),
+                Probe::Hit(var) => return Ok(Some(var.read(tx)?)),
+                Probe::Tombstone | Probe::Miss => {}
             }
             i = (i + 1) & mask;
         }
@@ -324,8 +345,8 @@ impl KvStore {
         let mut i = Self::slot_start(key) & mask;
         let mut first_tomb: Option<usize> = None;
         for probed in 0..table.slots.len() {
-            match table.slots[i].read(tx)? {
-                Slot::Empty => {
+            match table.slots[i].read_with(tx, |s| Probe::of(s, key))? {
+                Probe::Empty => {
                     // Reuse the earliest tombstone on the chain, else
                     // claim this empty slot.
                     let target = first_tomb.unwrap_or(i);
@@ -336,12 +357,12 @@ impl KvStore {
                         table_len: table.slots.len(),
                     });
                 }
-                Slot::Tombstone => {
+                Probe::Tombstone => {
                     if first_tomb.is_none() {
                         first_tomb = Some(i);
                     }
                 }
-                Slot::Full(k, var) if k == key => {
+                Probe::Hit(var) => {
                     let prev = var.replace(tx, value)?;
                     return Ok(PutRaw {
                         prev: Some(prev),
@@ -349,7 +370,7 @@ impl KvStore {
                         table_len: table.slots.len(),
                     });
                 }
-                Slot::Full(..) => {}
+                Probe::Miss => {}
             }
             i = (i + 1) & mask;
         }
@@ -431,15 +452,14 @@ impl KvStore {
         let mask = table.slots.len() - 1;
         let mut i = Self::slot_start(key) & mask;
         for _ in 0..table.slots.len() {
-            match table.slots[i].read(tx)? {
-                Slot::Empty => return Ok(None),
-                Slot::Tombstone => {}
-                Slot::Full(k, var) if k == key => {
+            match table.slots[i].read_with(tx, |s| Probe::of(s, key))? {
+                Probe::Empty => return Ok(None),
+                Probe::Hit(var) => {
                     let prev = var.read(tx)?;
                     table.slots[i].write(tx, Slot::Tombstone)?;
                     return Ok(Some(prev));
                 }
-                Slot::Full(..) => {}
+                Probe::Tombstone | Probe::Miss => {}
             }
             i = (i + 1) & mask;
         }
@@ -447,17 +467,18 @@ impl KvStore {
     }
 
     /// Composable count over the *inclusive* span `[lo, hi_incl]` —
-    /// the internal span form, so `u64::MAX` keys are countable.
+    /// the internal span form, so `u64::MAX` keys are countable. Slots
+    /// are read by borrowing, so counting touches no record handle.
     fn count_span_in(&self, tx: &mut Transaction<'_>, lo: u64, hi_incl: u64) -> TxResult<usize> {
         let mut n = 0;
         for shard in self.shards.iter() {
             let table = shard.table.read(tx)?;
             for slot in table.slots.iter() {
-                if let Slot::Full(k, _) = slot.read(tx)? {
-                    if lo <= k && k <= hi_incl {
-                        n += 1;
-                    }
-                }
+                let hit = slot.read_with(
+                    tx,
+                    |s| matches!(s, Slot::Full(k, _) if lo <= *k && *k <= hi_incl),
+                )?;
+                n += usize::from(hit);
             }
         }
         Ok(n)
@@ -475,10 +496,12 @@ impl KvStore {
         for shard in self.shards.iter() {
             let table = shard.table.read(tx)?;
             for slot in table.slots.iter() {
-                if let Slot::Full(k, var) = slot.read(tx)? {
-                    if lo <= k && k <= hi_incl {
-                        out.push((k, var.read(tx)?));
-                    }
+                let hit = slot.read_with(tx, |s| match s {
+                    Slot::Full(k, var) if lo <= *k && *k <= hi_incl => Some((*k, var.clone())),
+                    _ => None,
+                })?;
+                if let Some((k, var)) = hit {
+                    out.push((k, var.read(tx)?));
                 }
             }
         }

@@ -170,6 +170,13 @@ impl TxList {
                 }
                 Some(ref node) if node.key == key => {
                     let after = node.next.read(tx)?;
+                    // Write the removed node's link too (same value):
+                    // an elastic insert or remove may already have cut
+                    // the read that led it to this node, so only a
+                    // write here makes it conflict with our unlink
+                    // instead of linking into (or unlinking through) a
+                    // node that is no longer in the list.
+                    node.next.write(tx, after.clone())?;
                     match pred {
                         Some(p) => p.next.write(tx, after)?,
                         None => self.head.write(tx, after)?,
